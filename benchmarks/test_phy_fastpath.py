@@ -51,8 +51,10 @@ def _timed_session(fast: bool):
     system, _info = los_scenario(
         DISTANCE_M, seed=SEED, phy_fast_path=fast
     )
+    # The per-query loop: the session engine ignores phy_fast_path and
+    # would time itself on both legs.
     session = MeasurementSession(
-        system, rng=np.random.default_rng(SEED + 1)
+        system, rng=np.random.default_rng(SEED + 1), session_fast_path=False
     )
     session.run_queries(WARMUP_QUERIES)  # warms caches/tables
     session.results.clear()  # stats aggregate results; drop the warmup

@@ -5,10 +5,12 @@ The simulator has three execution tiers for the same physics:
 1. **scalar reference** (``phy_fast_path=False``,
    ``session_fast_path=False``) — per-subframe, per-query Python loops;
    the ground truth every optimisation is verified against.
-2. **vectorized** (``phy_fast_path=True``) — each query's A-MPDU decodes
-   as one numpy batch, but the session still loops query by query.
+2. **vectorized** (``phy_fast_path=True``) — the per-query loop, each
+   A-MPDU decoded as one row of the numpy 2-D decode path
+   (:meth:`repro.phy.error_model.LinkErrorModel.subframe_outcomes_batch2d`).
 3. **session-batch** (``session_fast_path=True``) — whole chunks of
-   query cycles run as one ``(n_queries, n_subframes)`` computation in
+   query cycles run as one ``(n_queries, n_subframes)`` pass of the same
+   2-D decode path in
    :meth:`repro.core.system.WiTagSystem.run_queries_batch`.
 
 Tiers 2 and 3 are bitwise identical to each other; tier 1 differs only
@@ -211,8 +213,7 @@ def tier4_leg(
       zero-copy transport landed.
     * ``mode="tier4"`` — one persistent :class:`repro.runner.WarmPool`
       shared by every job (its startup is *inside* the timed region),
-      shared-memory chunk transport, warm session specs and the
-      compiled-kernel tier resolved by ``"auto"``.
+      shared-memory chunk transport and warm session specs.
 
     Returns ``{"mode", "wall_s", "jobs_per_s", "sessions_per_s",
     "transport", "digests"}`` where ``digests`` has one entry per job —
@@ -418,7 +419,6 @@ def fleet_bench(
     seed: int = 0,
     bits_per_tag: int = 64,
     batch_tags: int = 256,
-    kernel_tier: str = "auto",
     equivalence_tags: int = 64,
     repeats: int = 1,
 ) -> dict[str, Any]:
@@ -468,7 +468,6 @@ def fleet_bench(
     gate_spec = FleetSpec(
         n_tags=equivalence_tags,
         batch_tags=batch_tags,
-        kernel_tier=kernel_tier,
         phy_exact_coding=True,
     )
     gate_fleet = gate_spec(ctx)
@@ -489,9 +488,7 @@ def fleet_bench(
             "MultiTagCell reference — equivalence gate digests diverge"
         )
 
-    spec = FleetSpec(
-        n_tags=n_tags, batch_tags=batch_tags, kernel_tier=kernel_tier
-    )
+    spec = FleetSpec(n_tags=n_tags, batch_tags=batch_tags)
     payloads = [
         [int(b) for b in data_rng.integers(0, 2, bits_per_tag * rounds)]
         for _ in range(n_tags)
@@ -526,7 +523,6 @@ def fleet_bench(
         "seed": seed,
         "bits_per_tag": bits_per_tag,
         "batch_tags": batch_tags,
-        "kernel_tier": kernel_tier,
         "equivalence_tags": equivalence_tags,
         "legs": legs,
         "identical": identical,
@@ -546,7 +542,6 @@ def fleet_payload(result: dict[str, Any]) -> dict[str, Any]:
             "seed",
             "bits_per_tag",
             "batch_tags",
-            "kernel_tier",
             "equivalence_tags",
             "identical",
             "speedup_fleet_vs_scalar",

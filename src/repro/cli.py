@@ -159,7 +159,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         fn = functools.partial(
             los_ber_point,
             sim_seconds=args.seconds,
-            kernel_tier=args.kernel_tier,
             warm=args.warm_workers > 0,
         )
         if args.warm_workers > 0:
@@ -1331,18 +1330,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="run on a persistent warm worker pool of N processes "
         "(tier-4 fast path; 0 = classic per-run executors)",
     )
-    sweep.add_argument(
-        "--kernel-tier",
-        choices=("auto", "numpy", "numba"),
-        default="auto",
-        help="decode kernel implementation; numba requires the "
-        "optional fast extra and falls back bitwise-verified",
-    )
     sweep.set_defaults(func=_cmd_sweep)
 
     bench = sub.add_parser(
         "bench",
-        help="three-tier benchmark: scalar vs vectorized vs session-batch",
+        help="three-tier benchmark: scalar reference vs vectorized "
+        "(per-query loop, one 2-D decode row per A-MPDU) vs session-batch",
     )
     bench.add_argument("--queries", type=int, default=300)
     bench.add_argument("--distance", type=float, default=4.0)

@@ -174,7 +174,6 @@ class TagFleet:
         band: Band = Band.GHZ_2_4,
         channel_width_mhz: int = 20,
         mcs: Mcs | None = None,
-        kernel_tier: str = "auto",
         temperature_c: float = 25.0,
         phy_exact_coding: bool = False,
         batch_tags: int = 256,
@@ -325,7 +324,6 @@ class TagFleet:
             mismatch_gain_db=mismatch_gain_db,
             # Never drawn from: every batch decode passes per-row rngs.
             rng=np.random.default_rng(child_sequence(seed, n)),
-            kernel_tier=kernel_tier,
         )
 
         fleet = cls(
@@ -351,7 +349,6 @@ class TagFleet:
             _tag_rician_k_db=tag_rician_k_db,
             _band=band,
             _channel_width_mhz=int(channel_width_mhz),
-            _kernel_tier=kernel_tier,
             _wavelength=wavelength,
             _offsets_hz=offsets_hz,
             _direct_loss=direct_loss,
@@ -457,7 +454,6 @@ class TagFleet:
                 receiver=self._receiver,
                 mismatch_gain_db=self._mismatch_gain_db,
                 rng=error_rng,
-                kernel_tier=self._kernel_tier,
             )
             endpoints[name] = TagEndpoint(
                 name=name,

@@ -103,13 +103,16 @@ class WiTagSystem:
             each query cycle advances it by the cycle duration instead of
             drawing independent fading per query.
         rng: randomness for subframe outcome draws.
-        phy_fast_path: decode each A-MPDU through the vectorized batch
-            API (:meth:`LinkErrorModel.subframe_outcomes`) instead of the
-            scalar per-subframe reference loop.  Both draw randomness in
-            the same order; the fast path differs only by the coded-BER
-            interpolation table (~1e-3 relative), so flipping this flag
-            changes individual subframe outcomes with probability ~1e-6.
-        phy_exact_coding: make the vectorized paths (per-query and
+        phy_fast_path: in :meth:`run_query`, decode each A-MPDU as one
+            row of the numpy 2-D path
+            (:meth:`LinkErrorModel.subframe_outcomes_batch2d`) instead of
+            the scalar per-subframe reference loop.  Both draw randomness
+            in the same order; the numpy path differs only by the
+            coded-BER interpolation table (~1e-3 relative), so flipping
+            this flag changes individual subframe outcomes with
+            probability ~1e-6.  :meth:`run_queries_batch` always decodes
+            through the 2-D path.
+        phy_exact_coding: make the numpy decode path (per-query and
             session-batch) evaluate the coded-BER union bound exactly
             instead of via the interpolated table.  Slower, but outcome
             draws become bitwise-identical to the scalar reference loop
@@ -217,13 +220,16 @@ class WiTagSystem:
         self._scoreboard.reset(query.ssn)
         with self.counters.timed("phy-decode"):
             if self.phy_fast_path:
-                outcomes = self.error_model.subframe_outcomes(
+                outcomes = self.error_model.subframe_outcomes_batch2d(
                     [8 * len(mpdu) for mpdu in query.mpdus],
                     preamble_state,
-                    [states[index] for index in range(len(query.mpdus))],
-                    fading,
+                    [states[: len(query.mpdus)]],
+                    FadingBatch(
+                        direct_gains=np.array([fading.direct_gain]),
+                        tag_fadings=np.array([fading.tag_fading]),
+                    ),
                     exact_coding=self.phy_exact_coding,
-                )
+                )[0]
             else:
                 outcomes = [
                     self.error_model.subframe_outcome(

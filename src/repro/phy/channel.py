@@ -401,9 +401,12 @@ class BackscatterChannel:
 
         Returns:
             Complex ``(n_samples, n_subcarriers)`` matrix whose row ``i``
-            is bitwise equal to ``channel_vector(state, direct_gains[i],
+            equals ``channel_vector(state, direct_gains[i],
             tag_fadings[i])`` — the elementwise operations follow the
-            scalar expression's association order exactly.
+            scalar expression's association order, but numpy's array
+            complex multiply can round the tag-path product differently
+            from its scalar multiply, so an element may differ in the
+            last ulp.
         """
         gains = np.asarray(direct_gains, dtype=complex)
         fadings = np.asarray(tag_fadings, dtype=complex)

@@ -47,7 +47,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -57,13 +57,18 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 from ..perf import StageCounters
 from ..seeding import component_rng
 from .channel import BackscatterChannel, TagState
-from .coding import coded_bit_error_rate, packet_error_rate
+from .coding import (
+    coded_bit_error_rate,
+    coded_bit_error_rate_batch,
+    packet_error_rate,
+    packet_error_rate_batch,
+)
 from .csi import (
     csi_noise_scale,
     eesm_effective_sinr,
+    eesm_effective_sinr_batch,
     estimate_csi,
 )
-from .kernels import KernelSet, get_kernels
 from .mcs import Mcs
 from .noise import ReceiverNoise, dbm_to_watts
 
@@ -94,7 +99,6 @@ def mpdu_success_probabilities(
     effective_sinrs_linear,
     *,
     exact: bool = False,
-    kernels: KernelSet | None = None,
 ) -> np.ndarray:
     """Vectorized :func:`mpdu_success_probability` over many subframes.
 
@@ -108,10 +112,6 @@ def mpdu_success_probabilities(
             and the interpolated coded-BER table — accurate to ~1e-3
             relative on the coded BER, which is far below anything
             observable at packet level.
-        kernels: the :class:`repro.phy.kernels.KernelSet` evaluating the
-            fast path; defaults to the numpy reference tier.  Every tier
-            is probe-verified bitwise against the reference, so the
-            choice never changes results.
 
     Returns:
         Array of success probabilities in [0, 1].
@@ -128,9 +128,9 @@ def mpdu_success_probabilities(
                 for b, s in zip(bits_by_subframe.ravel(), sinrs.ravel())
             ]
         ).reshape(sinrs.shape)
-    if kernels is None:
-        kernels = get_kernels("numpy")
-    return kernels.mpdu_success(mcs, bits, sinrs)
+    uncoded = mcs.modulation.bit_error_rate_array(np.maximum(sinrs, 0.0))
+    coded = coded_bit_error_rate_batch(mcs.coding_rate, uncoded)
+    return 1.0 - packet_error_rate_batch(coded, bits)
 
 
 @dataclass(frozen=True)
@@ -190,22 +190,16 @@ class LinkErrorModel:
             channel mismatch only — never to thermal noise or to the
             benign (tag idle) case.
         rng: randomness source for CSI estimation noise and fading.
-        counters: cumulative per-stage timing of the vectorized decode
-            path (``channel``, ``csi``, ``eesm``, ``coding``); sampled
-            once per A-MPDU, so the instrumentation overhead is a few
-            microseconds per query.  The scalar reference methods are
+        counters: cumulative per-stage timing of the 2-D decode path
+            (``channel``, ``csi``, ``eesm``, ``coding``); sampled once
+            per decoded matrix, so the instrumentation overhead is a few
+            microseconds per call.  The scalar reference methods are
             deliberately left un-instrumented.
         telemetry: optional :class:`repro.obs.Telemetry`; when attached,
             every effective-SINR evaluation feeds the
-            ``phy_effective_sinr`` histogram.  All three tiers (scalar,
-            per-query vectorized, session-batch 2-D) observe the same
-            values in the same order, so histograms are tier-invariant.
-        kernel_tier: which :mod:`repro.phy.kernels` implementation the
-            vectorized decode stages run on — ``"numpy"``, ``"numba"``
-            or ``"auto"`` (the default: compiled when numba is
-            installed, reference otherwise).  Every tier is
-            probe-verified bitwise against the numpy reference at
-            resolution time, so this knob changes speed, never results.
+            ``phy_effective_sinr`` histogram.  The scalar reference and
+            the 2-D path observe the same values in the same order, so
+            histograms do not depend on the execution tier.
     """
 
     channel: BackscatterChannel
@@ -220,23 +214,12 @@ class LinkErrorModel:
     telemetry: "Telemetry | None" = field(
         default=None, repr=False, compare=False
     )
-    kernel_tier: str = "auto"
 
     def __post_init__(self) -> None:
         self._tx_ref_snr = (
             dbm_to_watts(self.tx_power_dbm) / self.receiver.noise_floor_w
         )
         self._mismatch_gain = 10.0 ** (self.mismatch_gain_db / 10.0)
-        # Kernel resolution is lazy: "auto" with numba installed JIT-
-        # compiles on first use, which scalar-only consumers never pay.
-        self._kernel_set: KernelSet | None = None
-
-    @property
-    def kernels(self) -> KernelSet:
-        """The resolved (cached) decode kernel set for this model."""
-        if self._kernel_set is None:
-            self._kernel_set = get_kernels(self.kernel_tier)
-        return self._kernel_set
 
     @property
     def tx_referred_snr_linear(self) -> float:
@@ -275,19 +258,27 @@ class LinkErrorModel:
         rngs: Sequence[np.random.Generator] | None = None,
         _uniforms: np.ndarray | None = None,
     ) -> np.ndarray:
-        """:meth:`subframe_effective_sinrs` for a whole session chunk.
+        """Effective SINR of every subframe of ``n_queries`` A-MPDUs.
 
-        Computes every subframe SINR of ``n_queries`` A-MPDUs in one
-        ``(n_queries, n_subframes)`` numpy pass.  Tag states are
-        deduplicated across the *whole matrix* (the design only ever
+        The numpy fast path of :meth:`subframe_effective_sinr`: one
+        ``(n_queries, n_subframes)`` pass serves a whole session chunk,
+        a fleet round, or a single A-MPDU as a one-row matrix.  Tag
+        states are deduplicated across the *whole matrix* (the design only ever
         uses a handful of states, so the channel-change power is one
         ``(n_distinct, n_queries, n_subcarriers)`` stack), and all CSI
         noise is drawn as one row-major ``standard_normal`` buffer whose
         layout reproduces the scalar draw order (per query, per
         subframe: n real draws, n imaginary draws, then optionally the
-        outcome uniform).  Given the same generator state, row ``q`` is
-        bitwise equal to ``subframe_effective_sinrs(preamble_state,
-        subframe_state_rows[q], fading.sample(q))``.
+        outcome uniform).  Given the same generator state, row ``q``
+        consumes exactly the draws of calling
+        ``subframe_effective_sinr(preamble_state, state,
+        fading.sample(q))`` for each ``state`` of
+        ``subframe_state_rows[q]`` in turn, and matches those SINRs to
+        the last ulp (numpy's array complex multiply in
+        :meth:`~repro.phy.channel.BackscatterChannel.channel_vector_batch`
+        may round differently from its scalar multiply).  Rows do not
+        interact: a row's SINRs are bitwise the same whether it is
+        decoded alone or inside a larger chunk.
 
         Args:
             preamble_state: tag state during every PHY preamble.
@@ -433,7 +424,7 @@ class LinkErrorModel:
         self.counters.add("csi", time.perf_counter() - start, n_q * k)
 
         start = time.perf_counter()
-        effective = self.kernels.eesm(
+        effective = eesm_effective_sinr_batch(
             sinr_rows.reshape(n_q * k, n), self.mcs.modulation
         ).reshape(n_q, k)
         self.counters.add("eesm", time.perf_counter() - start, n_q * k)
@@ -452,8 +443,11 @@ class LinkErrorModel:
         rngs: Sequence[np.random.Generator] | None = None,
         _uniforms: np.ndarray | None = None,
     ) -> np.ndarray:
-        """:meth:`subframe_success_probabilities` for a session chunk.
+        """Decode probability of every subframe in the chunk.
 
+        The SINRs of :meth:`subframe_effective_sinrs_batch2d` mapped
+        through :func:`mpdu_success_probabilities` (``exact_coding``
+        selects the scalar union bound instead of the table).
         ``mpdu_bits`` may be scalar, a length-``n_subframes`` row shared
         by every query, or a full ``(n_queries, n_subframes)`` matrix.
         """
@@ -466,8 +460,7 @@ class LinkErrorModel:
         )
         start = time.perf_counter()
         probabilities = mpdu_success_probabilities(
-            self.mcs, mpdu_bits, sinrs, exact=exact_coding,
-            kernels=self.kernels,
+            self.mcs, mpdu_bits, sinrs, exact=exact_coding
         )
         self.counters.add("coding", time.perf_counter() - start, sinrs.size)
         return probabilities
@@ -482,12 +475,16 @@ class LinkErrorModel:
         exact_coding: bool = False,
         rngs: Sequence[np.random.Generator] | None = None,
     ) -> np.ndarray:
-        """:meth:`subframe_outcomes` for a whole session chunk.
+        """One Bernoulli decode outcome per subframe of the chunk.
 
-        Returns a ``(n_queries, n_subframes)`` boolean matrix; with
-        ``exact_coding=True`` it is bitwise equal to stacking the
-        per-query :meth:`subframe_outcomes` (and hence the scalar
-        :meth:`subframe_outcome` loop) from the same generator state.
+        Returns a ``(n_queries, n_subframes)`` boolean matrix, True where
+        the subframe's FCS passes.  Each subframe's uniform is drawn
+        right after its CSI noise, as the scalar loop draws it, so with
+        ``exact_coding=True`` the matrix equals the scalar
+        :meth:`subframe_outcome` loop over the rows in order, from the
+        same generator state (unless a uniform lands within the last-ulp
+        SINR difference of its probability, see
+        :meth:`subframe_effective_sinrs_batch2d`).
         With ``rngs`` each row draws from its own generator instead
         (see :meth:`subframe_effective_sinrs_batch2d`).
         """
@@ -504,7 +501,7 @@ class LinkErrorModel:
             rngs=rngs,
             _uniforms=uniforms,
         )
-        return self.kernels.sample_outcomes(uniforms, probabilities)
+        return uniforms < probabilities
 
     def subframe_effective_sinr(
         self,
@@ -557,192 +554,6 @@ class LinkErrorModel:
         if self.telemetry is not None:
             self.telemetry.observe_sinr(effective)
         return effective
-
-    def subframe_effective_sinrs(
-        self,
-        preamble_state: TagState,
-        subframe_states: Sequence[TagState] | Iterable[TagState],
-        fading: FadingSample | None = None,
-        *,
-        include_estimation_noise: bool = True,
-        _uniforms: list[float] | None = None,
-    ) -> np.ndarray:
-        """Vectorized :meth:`subframe_effective_sinr` for one A-MPDU.
-
-        Computes the AWGN-equivalent SINR of every subframe in a single
-        numpy pass.  The geometry-dependent terms (channel vectors and
-        the tag-induced channel-change power) are evaluated once per
-        *distinct* tag state — an A-MPDU only ever contains the design's
-        two data states, so the per-subframe work reduces to the CSI
-        estimation noise and the shared EESM reduction.
-
-        Randomness is drawn in exactly the order the scalar method uses
-        (per subframe: real noise, imaginary noise), so given the same
-        generator state this returns bitwise-identical SINRs to calling
-        :meth:`subframe_effective_sinr` in a loop — the equivalence suite
-        asserts this.
-
-        Args:
-            preamble_state: tag state during the PHY preamble.
-            subframe_states: tag state during each subframe, in order.
-            fading: one coherence-interval sample shared by the preamble
-                and all subframes (paper §5 footnote 2); drawn fresh when
-                omitted.
-            _uniforms: internal — when provided, one uniform draw per
-                subframe is appended after that subframe's noise draws,
-                replicating the scalar :meth:`subframe_outcome` stream.
-
-        Returns:
-            Array of effective SINRs, one per subframe.
-        """
-        states = list(subframe_states)
-        k = len(states)
-        if k == 0:
-            return np.empty(0, dtype=float)
-        if fading is None:
-            fading = self.sample_fading()
-        start = time.perf_counter()
-        h_preamble = self.channel.channel_vector(
-            preamble_state, fading.direct_gain, fading.tag_fading
-        )
-        # Deduplicate tag states: per coherence interval at most two
-        # (preamble, subframe) combinations occur, so the channel-change
-        # power |h_actual - h_preamble|^2 is computed once per state.
-        distinct: list[TagState] = []
-        index_of: dict[TagState, int] = {}
-        row = np.empty(k, dtype=np.intp)
-        for i, state in enumerate(states):
-            j = index_of.get(state)
-            if j is None:
-                j = index_of[state] = len(distinct)
-                distinct.append(state)
-            row[i] = j
-        change_sq = np.stack(
-            [
-                np.abs(
-                    self.channel.channel_vector(
-                        state, fading.direct_gain, fading.tag_fading
-                    )
-                    - h_preamble
-                )
-                ** 2
-                for state in distinct
-            ]
-        )
-        self.counters.add("channel", time.perf_counter() - start, k)
-
-        if not include_estimation_noise:
-            if _uniforms is not None:
-                for _ in range(k):
-                    _uniforms.append(self.rng.random())
-            start = time.perf_counter()
-            # Noise-free estimates collapse to one SINR row per distinct
-            # state; EESM runs on those rows only and is scattered back.
-            safe_est_sq = np.maximum(np.abs(h_preamble) ** 2, 1e-30)
-            tag_mismatch = self._mismatch_gain * (change_sq / safe_est_sq)
-            est_mismatch = np.abs(h_preamble - h_preamble) ** 2 / safe_est_sq
-            noise = 1.0 / (self._tx_ref_snr * safe_est_sq)
-            sinr_rows = 1.0 / (tag_mismatch + est_mismatch + noise)
-            self.counters.add("csi", time.perf_counter() - start, k)
-            start = time.perf_counter()
-            effective = self.kernels.eesm(
-                sinr_rows, self.mcs.modulation
-            )[row]
-            self.counters.add("eesm", time.perf_counter() - start, k)
-            if self.telemetry is not None:
-                self.telemetry.observe_sinrs(effective)
-            return effective
-
-        start = time.perf_counter()
-        n = h_preamble.size
-        rx_snr = self._tx_ref_snr * float(np.mean(np.abs(h_preamble) ** 2))
-        scale = csi_noise_scale(h_preamble, max(rx_snr, 1e-12))
-        noise_re = np.empty((k, n))
-        noise_im = np.empty((k, n))
-        rng = self.rng
-        for i in range(k):
-            # Draw order matches the scalar path exactly (estimate_csi's
-            # real then imaginary parts, then the outcome uniform).
-            noise_re[i] = rng.normal(0.0, 1.0, n)
-            noise_im[i] = rng.normal(0.0, 1.0, n)
-            if _uniforms is not None:
-                _uniforms.append(rng.random())
-        estimate = h_preamble + scale * (noise_re + 1j * noise_im)
-        safe_est_sq = np.maximum(np.abs(estimate) ** 2, 1e-30)
-        tag_mismatch = self._mismatch_gain * (change_sq[row] / safe_est_sq)
-        est_mismatch = np.abs(h_preamble - estimate) ** 2 / safe_est_sq
-        noise = 1.0 / (self._tx_ref_snr * safe_est_sq)
-        sinr_rows = 1.0 / (tag_mismatch + est_mismatch + noise)
-        self.counters.add("csi", time.perf_counter() - start, k)
-        start = time.perf_counter()
-        effective = self.kernels.eesm(sinr_rows, self.mcs.modulation)
-        self.counters.add("eesm", time.perf_counter() - start, k)
-        if self.telemetry is not None:
-            self.telemetry.observe_sinrs(effective)
-        return effective
-
-    def subframe_success_probabilities(
-        self,
-        mpdu_bits,
-        preamble_state: TagState,
-        subframe_states: Sequence[TagState] | Iterable[TagState],
-        fading: FadingSample | None = None,
-        *,
-        exact_coding: bool = False,
-        _uniforms: list[float] | None = None,
-    ) -> np.ndarray:
-        """Vectorized :meth:`subframe_success_probability` for one A-MPDU.
-
-        Args:
-            mpdu_bits: per-subframe MPDU lengths in bits (scalar or
-                array broadcastable against the subframe axis).
-            exact_coding: evaluate the coded-BER union bound exactly per
-                subframe instead of via the interpolated table; slower,
-                bit-identical to the scalar reference.
-        """
-        sinrs = self.subframe_effective_sinrs(
-            preamble_state, subframe_states, fading, _uniforms=_uniforms
-        )
-        start = time.perf_counter()
-        probabilities = mpdu_success_probabilities(
-            self.mcs, mpdu_bits, sinrs, exact=exact_coding,
-            kernels=self.kernels,
-        )
-        self.counters.add("coding", time.perf_counter() - start, sinrs.size)
-        return probabilities
-
-    def subframe_outcomes(
-        self,
-        mpdu_bits,
-        preamble_state: TagState,
-        subframe_states: Sequence[TagState] | Iterable[TagState],
-        fading: FadingSample | None = None,
-        *,
-        exact_coding: bool = False,
-    ) -> np.ndarray:
-        """Vectorized :meth:`subframe_outcome`: one Bernoulli per subframe.
-
-        The uniform deciding each subframe is drawn from the same stream,
-        interleaved after that subframe's CSI noise exactly as the scalar
-        loop draws it — with ``exact_coding=True`` the outcome vector is
-        bitwise-identical to calling :meth:`subframe_outcome` per
-        subframe from the same generator state.
-
-        Returns:
-            Boolean array, True where the subframe's FCS passes.
-        """
-        if fading is None:
-            fading = self.sample_fading()
-        uniforms: list[float] = []
-        probabilities = self.subframe_success_probabilities(
-            mpdu_bits,
-            preamble_state,
-            subframe_states,
-            fading,
-            exact_coding=exact_coding,
-            _uniforms=uniforms,
-        )
-        return np.asarray(uniforms) < probabilities
 
     def subframe_success_probability(
         self,

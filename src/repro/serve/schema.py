@@ -12,7 +12,8 @@ float repr is shortest-exact), so a spec that crosses the wire drives
 the engine to the same bit-identical results a direct
 :func:`repro.runner.run_sweep` call produces.
 
-Validation is strict: unknown keys, wrong types, and unregistered work
+Validation is strict: unknown keys (including ``fn_kwargs`` keys the
+named work function does not accept), wrong types, and unregistered work
 functions raise :class:`SchemaError` with a message naming the bad
 field, so clients get a 400 with a usable diagnosis instead of a
 worker-side stack trace minutes later.
@@ -25,6 +26,7 @@ CLI and benchmarks use — and pass keyword arguments as JSON scalars.
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping
@@ -72,6 +74,16 @@ WORK_FUNCTIONS: dict[str, Callable] = {
 
 class SchemaError(ValueError):
     """A JSON payload does not match the job/spec schema."""
+
+
+def _keyword_parameters(fn: Callable) -> frozenset[str]:
+    """Names a work function accepts as keywords after its context."""
+    params = list(inspect.signature(fn).parameters.values())[1:]
+    return frozenset(
+        p.name
+        for p in params
+        if p.kind in (p.POSITIONAL_OR_KEYWORD, p.KEYWORD_ONLY)
+    )
 
 
 def _check_keys(
@@ -349,6 +361,14 @@ class JobRequest:
                 raise SchemaError(
                     f"unknown work function {self.fn!r} (registered: "
                     f"{', '.join(sorted(WORK_FUNCTIONS))})"
+                )
+            accepted = _keyword_parameters(WORK_FUNCTIONS[self.fn])
+            unknown = sorted(set(self.fn_kwargs) - accepted)
+            if unknown:
+                raise SchemaError(
+                    f"fn_kwargs has unknown key(s) for {self.fn}: "
+                    f"{', '.join(unknown)} (accepted: "
+                    f"{', '.join(sorted(accepted)) or 'none'})"
                 )
         else:
             if self.sessions is None:

@@ -231,7 +231,6 @@ class TestAddressedEqualsSingleTagSystem:
                 receiver=fleet._receiver,
                 mismatch_gain_db=fleet._mismatch_gain_db,
                 rng=error_rng,
-                kernel_tier=fleet._kernel_tier,
             ),
             tag=TagStateMachine(rng=tag_rng),
             phy_fast_path=False,  # the scalar reference decode loop

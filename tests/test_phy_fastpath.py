@@ -1,10 +1,13 @@
-"""Equivalence and regression suite for the vectorized PHY fast path.
+"""Equivalence and regression suite for the numpy PHY decode path.
 
 Three layers of guarantees:
 
-* **Bitwise**: the batch SINR/outcome APIs draw randomness in exactly
-  the scalar order, so from the same generator state they must return
-  bit-identical results to the per-subframe reference loop.
+* **Bitwise**: the 2-D decode APIs draw randomness in exactly the
+  scalar order, so from the same generator state a one-row call (one
+  A-MPDU, the per-query path of ``WiTagSystem.run_query``) must leave
+  the same generator state and, with exact coding, the same outcomes as
+  the per-subframe reference loop; its SINRs match that loop to the
+  last ulp and a chunk's rows bit for bit.
 * **Tolerance**: the interpolated coded-BER table (the one deliberate
   approximation on the fast path) stays within ~1e-3 relative of the
   exact union bound, and whole sessions agree with the scalar path.
@@ -16,6 +19,7 @@ Three layers of guarantees:
 import numpy as np
 import pytest
 
+from repro.core.config import EncryptionMode
 from repro.core.session import MeasurementSession
 from repro.phy.channel import (
     BackscatterChannel,
@@ -28,13 +32,19 @@ from repro.phy.coding import (
     packet_error_rate,
     packet_error_rate_batch,
 )
+from repro.phy.csi import (
+    EESM_BETA,
+    eesm_effective_sinr,
+    eesm_effective_sinr_batch,
+)
 from repro.phy.error_model import (
+    FadingBatch,
     FadingSample,
     LinkErrorModel,
     mpdu_success_probabilities,
     mpdu_success_probability,
 )
-from repro.phy.mcs import ht_mcs
+from repro.phy.mcs import ht_mcs, vht_mcs
 
 MCS_TABLE = [ht_mcs(i) for i in range(8)]
 from repro.sim.scenario import los_scenario
@@ -69,6 +79,38 @@ def _fading():
     )
 
 
+def _one_row(fading):
+    """The one-row :class:`FadingBatch` of a single A-MPDU."""
+    return FadingBatch(
+        direct_gains=np.array([fading.direct_gain]),
+        tag_fadings=np.array([fading.tag_fading]),
+    )
+
+
+def _probe_sinrs():
+    """Deterministic linear SINRs: deep fades, mid-range, very strong."""
+    probe = np.random.default_rng(0x5EED_CAFE).uniform(
+        0.0, 40.0, size=(17, 56)
+    )
+    probe[3] *= 1e-6
+    probe[5] *= 1e4
+    probe[7, :] = 0.0
+    probe[11, ::3] = 0.0
+    return probe
+
+
+def _assert_matches_scalar(row, expected):
+    # Same draws, same float op order; only numpy's array complex
+    # multiply in channel_vector_batch may round the tag-path product
+    # differently from the scalar multiply, by an ulp.
+    np.testing.assert_allclose(row, expected, rtol=1e-13, atol=0.0)
+
+
+def _bitwise(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 class TestBitwiseEquivalence:
     def test_batch_sinrs_match_scalar_with_estimation_noise(self):
         scalar_model = _model()
@@ -82,11 +124,11 @@ class TestBitwiseEquivalence:
                 for state in STATES
             ]
         )
-        got = batch_model.subframe_effective_sinrs(
-            TagState.REFLECT_0, STATES, fading
+        got = batch_model.subframe_effective_sinrs_batch2d(
+            TagState.REFLECT_0, [STATES], _one_row(fading)
         )
-        # Bitwise, not approximate: same RNG draws, same float op order.
-        assert got.tolist() == expected.tolist()
+        assert got.shape == (1, len(STATES))
+        _assert_matches_scalar(got[0], expected)
         # Both paths consumed the identical randomness stream.
         assert (
             scalar_model.rng.bit_generator.state
@@ -94,24 +136,33 @@ class TestBitwiseEquivalence:
         )
 
     def test_batch_sinrs_match_scalar_without_estimation_noise(self):
+        # The noise-free estimate is a scalar-reference option only: it
+        # draws nothing, and a subframe in the preamble state sees just
+        # thermal noise on the true channel.
         model = _model()
+        before = model.rng.bit_generator.state
         fading = _fading()
-        expected = np.array(
-            [
-                model.subframe_effective_sinr(
-                    TagState.REFLECT_0,
-                    state,
-                    fading,
-                    include_estimation_noise=False,
-                )
-                for state in STATES
-            ]
+        got = [
+            model.subframe_effective_sinr(
+                TagState.REFLECT_0,
+                state,
+                fading,
+                include_estimation_noise=False,
+            )
+            for state in STATES
+        ]
+        assert model.rng.bit_generator.state == before
+        h = model.channel.channel_vector(
+            TagState.REFLECT_0, fading.direct_gain, fading.tag_fading
         )
-        got = model.subframe_effective_sinrs(
-            TagState.REFLECT_0, STATES, fading,
-            include_estimation_noise=False,
+        thermal = model.tx_referred_snr_linear * np.maximum(
+            np.abs(h) ** 2, 1e-30
         )
-        assert got.tolist() == expected.tolist()
+        idle = eesm_effective_sinr(thermal, model.mcs.modulation)
+        by_state = dict(zip(STATES, got))
+        assert by_state[TagState.REFLECT_0] == idle
+        assert by_state[TagState.ABSORB] < idle
+        assert got == [by_state[state] for state in STATES]
 
     def test_batch_outcomes_match_scalar_with_exact_coding(self):
         scalar_model = _model(seed=21)
@@ -124,14 +175,27 @@ class TestBitwiseEquivalence:
             )
             for i in range(len(STATES))
         ]
-        got = batch_model.subframe_outcomes(
-            bits, TagState.REFLECT_0, STATES, fading, exact_coding=True
+        got = batch_model.subframe_outcomes_batch2d(
+            bits,
+            TagState.REFLECT_0,
+            [STATES],
+            _one_row(fading),
+            exact_coding=True,
         )
-        assert got.tolist() == expected
+        assert got[0].tolist() == expected
         assert (
             scalar_model.rng.bit_generator.state
             == batch_model.rng.bit_generator.state
         )
+
+    def test_eesm_batch_matches_scalar_rows(self):
+        probe = _probe_sinrs()
+        for modulation in EESM_BETA:
+            expected = [
+                eesm_effective_sinr(row, modulation) for row in probe
+            ]
+            got = eesm_effective_sinr_batch(probe, modulation)
+            assert got.tolist() == expected
 
     def test_mpdu_success_probabilities_exact_matches_scalar(self):
         mcs = MCS_TABLE[4]
@@ -154,27 +218,41 @@ class TestBitwiseEquivalence:
 
 class TestDedup:
     def test_repeated_states_equal_unique_rows(self):
-        model = _model(seed=3)
+        # One distinct state across the row: the channel-change power is
+        # computed once and shared, yet every subframe still draws its
+        # own CSI noise exactly as the scalar loop does.
+        scalar_model = _model(seed=3)
+        batch_model = _model(seed=3)
         fading = _fading()
         states = [TagState.REFLECT_0] * 5
-        sinrs = model.subframe_effective_sinrs(
-            TagState.REFLECT_0, states, fading,
-            include_estimation_noise=False,
+        expected = [
+            scalar_model.subframe_effective_sinr(
+                TagState.REFLECT_0, state, fading
+            )
+            for state in states
+        ]
+        sinrs = batch_model.subframe_effective_sinrs_batch2d(
+            TagState.REFLECT_0, [states], _one_row(fading)
         )
-        # Noise-free + one distinct state: every subframe identical.
-        assert len(set(sinrs.tolist())) == 1
-        assert sinrs.shape == (5,)
+        assert sinrs.shape == (1, 5)
+        _assert_matches_scalar(sinrs[0], expected)
+        assert (
+            scalar_model.rng.bit_generator.state
+            == batch_model.rng.bit_generator.state
+        )
 
     def test_empty_batch(self):
         model = _model()
-        sinrs = model.subframe_effective_sinrs(
-            TagState.REFLECT_0, [], _fading()
+        before = model.rng.bit_generator.state
+        sinrs = model.subframe_effective_sinrs_batch2d(
+            TagState.REFLECT_0, [[]], _one_row(_fading())
         )
-        assert sinrs.shape == (0,)
-        outcomes = model.subframe_outcomes(
-            [], TagState.REFLECT_0, [], _fading()
+        assert sinrs.shape == (1, 0)
+        outcomes = model.subframe_outcomes_batch2d(
+            [], TagState.REFLECT_0, [[]], _one_row(_fading())
         )
-        assert outcomes.shape == (0,)
+        assert outcomes.shape == (1, 0)
+        assert model.rng.bit_generator.state == before
 
     def test_all_three_states_one_ampdu(self):
         scalar_model = _model(seed=9)
@@ -193,10 +271,74 @@ class TestDedup:
             )
             for s in states
         ]
-        got = batch_model.subframe_effective_sinrs(
-            TagState.REFLECT_180, states, fading
+        got = batch_model.subframe_effective_sinrs_batch2d(
+            TagState.REFLECT_180, [states], _one_row(fading)
         )
-        assert got.tolist() == expected
+        _assert_matches_scalar(got[0], expected)
+        assert (
+            scalar_model.rng.bit_generator.state
+            == batch_model.rng.bit_generator.state
+        )
+
+    def test_one_row_equals_its_row_in_a_chunk(self):
+        # The per-query path decodes one row at a time; the session
+        # engine decodes the same rows as one chunk.  Bit for bit equal.
+        chunk_model = _model(seed=13)
+        row_model = _model(seed=13)
+        fading = chunk_model.sample_fading_batch(3)
+        row_model.sample_fading_batch(3)
+        rows = [STATES, STATES[::-1], [TagState.REFLECT_180] * len(STATES)]
+        bits = [8 * 120] * len(STATES)
+        chunk = chunk_model.subframe_outcomes_batch2d(
+            bits, TagState.REFLECT_0, rows, fading
+        )
+        singles = []
+        for q, row in enumerate(rows):
+            one = FadingBatch(
+                direct_gains=fading.direct_gains[q : q + 1],
+                tag_fadings=fading.tag_fadings[q : q + 1],
+            )
+            singles.append(
+                row_model.subframe_outcomes_batch2d(
+                    bits, TagState.REFLECT_0, [row], one
+                )[0]
+            )
+        assert _bitwise(np.stack(singles), chunk)
+        assert (
+            chunk_model.rng.bit_generator.state
+            == row_model.rng.bit_generator.state
+        )
+
+
+class TestFastSuccessProbabilities:
+    """The numpy uncoded -> coded -> PER form of the fast path."""
+
+    def test_mpdu_success_matches_composed_reference(self):
+        probe = _probe_sinrs()
+        bits = np.full(probe.shape, 12000.0)
+        bits[::2] = 288.0
+        for index in range(10):
+            mcs = vht_mcs(index)
+            uncoded = mcs.modulation.bit_error_rate_array(
+                np.maximum(probe, 0.0)
+            )
+            coded = coded_bit_error_rate_batch(mcs.coding_rate, uncoded)
+            expected = 1.0 - packet_error_rate_batch(coded, bits)
+            assert _bitwise(
+                mpdu_success_probabilities(mcs, bits, probe), expected
+            )
+
+    def test_mpdu_success_broadcasts_scalar_bits(self):
+        row = _probe_sinrs()[0]
+        out = mpdu_success_probabilities(vht_mcs(4), 8000, row)
+        assert out.shape == row.shape
+        assert np.all((out >= 0.0) & (out <= 1.0))
+        assert _bitwise(
+            out,
+            mpdu_success_probabilities(
+                vht_mcs(4), np.full(row.shape, 8000), row
+            ),
+        )
 
 
 class TestCodedBerTable:
@@ -293,18 +435,25 @@ class TestChannelVectorCache:
         np.testing.assert_array_equal(first, second)
 
 
+def _per_query_session(phy_fast_path, **scenario_kwargs):
+    system, _ = los_scenario(
+        4.0, seed=42, phy_fast_path=phy_fast_path, **scenario_kwargs
+    )
+    return MeasurementSession(
+        system, rng=np.random.default_rng(43), session_fast_path=False
+    )
+
+
 class TestSystemFastPath:
     def test_session_stats_match_scalar_path(self):
-        fast_system, _ = los_scenario(4.0, seed=42)
-        slow_system, _ = los_scenario(4.0, seed=42, phy_fast_path=False)
-        assert fast_system.phy_fast_path
-        assert not slow_system.phy_fast_path
-        fast = MeasurementSession(
-            fast_system, rng=np.random.default_rng(43)
-        ).run_queries(40)
-        slow = MeasurementSession(
-            slow_system, rng=np.random.default_rng(43)
-        ).run_queries(40)
+        # Both sessions run the per-query loop, so the flag alone picks
+        # the one-row numpy decode or the scalar per-subframe loop.
+        fast_session = _per_query_session(True)
+        slow_session = _per_query_session(False)
+        assert fast_session.system.phy_fast_path
+        assert not slow_session.system.phy_fast_path
+        fast = fast_session.run_queries(40)
+        slow = slow_session.run_queries(40)
         assert fast.queries == slow.queries == 40
         assert fast.bits_sent == slow.bits_sent
         assert fast.elapsed_s == slow.elapsed_s
@@ -312,6 +461,37 @@ class TestSystemFastPath:
         # probability per subframe); at this sample size they never
         # diverge measurably.
         assert abs(fast.ber - slow.ber) < 5e-3
+
+    @pytest.mark.parametrize(
+        "scenario_kwargs,queries",
+        [
+            ({}, 30),
+            ({"coherence_time_s": 0.1}, 30),
+            ({"n_contenders": 3}, 30),
+            ({"encryption": EncryptionMode.WPA2_CCMP}, 3),
+        ],
+        ids=["open", "correlated-fading", "contention", "ccmp"],
+    )
+    def test_per_query_path_matches_scalar_reference(
+        self, scenario_kwargs, queries
+    ):
+        # With exact coding the one-row 2-D decode is the scalar loop,
+        # bit for bit: stats, bitmaps and every generator it touches.
+        fast = _per_query_session(True, **scenario_kwargs)
+        slow = _per_query_session(False, **scenario_kwargs)
+        fast.system.phy_exact_coding = True
+        assert fast.run_queries(queries) == slow.run_queries(queries)
+        assert [r.block_ack.bitmap for r in fast.results] == [
+            r.block_ack.bitmap for r in slow.results
+        ]
+        assert (
+            fast.system.error_model.rng.bit_generator.state
+            == slow.system.error_model.rng.bit_generator.state
+        )
+        assert (
+            fast.system.rng.bit_generator.state
+            == slow.system.rng.bit_generator.state
+        )
 
     def test_counters_populated(self):
         system, _ = los_scenario(4.0, seed=11)

@@ -197,6 +197,7 @@ class TestDeterminismBroad:
 # be the identity for every valid spec, or a served sweep could drift
 # from the direct run it must reproduce bit-for-bit.
 
+import inspect
 import json as _json
 
 from hypothesis import given, settings
@@ -261,17 +262,25 @@ session_specs = st.builds(
     data_stream=st.integers(1, 8),
 )
 
-sweep_job_requests = st.builds(
-    JobRequest,
-    kind=st.just("sweep"),
-    fn=st.sampled_from(sorted(WORK_FUNCTIONS)),
-    fn_kwargs=st.dictionaries(
-        st.text(min_size=1, max_size=6), json_scalars, max_size=2
-    ),
-    sweep=sweep_specs,
-    n_workers=st.integers(1, 8),
-    priority=st.integers(-5, 5),
-    retry=st.one_of(st.none(), retry_policies),
+def _fn_kwargs(fn):
+    """Dictionaries over the keywords ``fn`` accepts after its context."""
+    params = list(inspect.signature(WORK_FUNCTIONS[fn]).parameters)[1:]
+    if not params:
+        return st.just({})
+    return st.dictionaries(st.sampled_from(params), json_scalars, max_size=2)
+
+
+sweep_job_requests = st.sampled_from(sorted(WORK_FUNCTIONS)).flatmap(
+    lambda fn: st.builds(
+        JobRequest,
+        kind=st.just("sweep"),
+        fn=st.just(fn),
+        fn_kwargs=_fn_kwargs(fn),
+        sweep=sweep_specs,
+        n_workers=st.integers(1, 8),
+        priority=st.integers(-5, 5),
+        retry=st.one_of(st.none(), retry_policies),
+    )
 )
 
 

@@ -192,6 +192,36 @@ class TestStrictValidation:
                 }
             )
 
+    def test_unknown_fn_kwargs_key(self):
+        # Caught at submit time (a 400), not as a TypeError in a worker.
+        with pytest.raises(SchemaError, match="bogus"):
+            job_request_from_json(
+                {
+                    "fn": "los_ber_point",
+                    "fn_kwargs": {"bogus": 1},
+                    "sweep": {"axes": {"distance_m": [1.0]}},
+                }
+            )
+
+    def test_removed_kernel_tier_kwarg_rejected(self):
+        with pytest.raises(SchemaError, match="kernel_tier"):
+            job_request_from_json(
+                {
+                    "fn": "los_ber_point",
+                    "fn_kwargs": {"kernel_tier": "auto"},
+                    "sweep": {"axes": {"distance_m": [1.0]}},
+                }
+            )
+
+    def test_accepted_fn_kwargs_still_pass(self):
+        payload = {
+            "fn": "los_ber_point",
+            "fn_kwargs": {"sim_seconds": 0.05, "phy_fast_path": False},
+            "sweep": {"axes": {"distance_m": [1.0]}},
+        }
+        request = job_request_from_json(payload)
+        assert request.fn_kwargs == payload["fn_kwargs"]
+
     def test_n_workers_minimum(self):
         with pytest.raises(SchemaError, match="n_workers"):
             job_request_from_json(
