@@ -1,11 +1,10 @@
-"""Tier-4 fast-path benchmark: warm pool + shm transport vs tier 3.
+"""Tier-4 fast-path benchmark: warm pool + warm session specs vs tier 3.
 
 Times a serve-style stream of identical small jobs two ways through
 the shared :func:`repro.bench.tier4_bench` helper: the tier-3
-*session-batch* reference (a fresh process pool and pickle transport
-per job, exactly what ``run_sessions`` did before this PR) and the
-tier-4 fast path (one persistent :class:`repro.runner.warm.WarmPool`
-across every job, zero-copy shared-memory chunk transport, and
+*session-batch* reference (a fresh process pool per job with cold
+session specs) and the tier-4 fast path (one persistent
+:class:`repro.runner.warm.WarmPool` across every job, and
 ``SessionSpec(warm=True)`` cache reuse inside the workers).  Each leg
 runs in a fresh child interpreter so the reference cannot borrow the
 parent's already-warm import/PHY state.
@@ -90,23 +89,17 @@ def test_tier4_speedup(benchmark):
     benchmark.extra_info["tier4"] = payload["tier4"]
 
     print_banner(
-        "tier-4 fast path: warm pool + shm transport vs session-batch"
+        "tier-4 fast path: warm pool + warm specs vs session-batch"
     )
     table = Table(
         f"{JOBS} jobs x {SESSIONS} sessions x {QUERIES} queries, "
         f"{N_WORKERS} worker(s), seed {SEED} (cold child per leg)",
-        ["mode", "wall (s)", "jobs/s", "sessions/s", "transport"],
+        ["mode", "wall (s)", "jobs/s", "sessions/s"],
     )
     for mode in ("session-batch", "tier4"):
         leg = legs[mode]
         table.add_row(
-            [
-                mode,
-                leg["wall_s"],
-                leg["jobs_per_s"],
-                leg["sessions_per_s"],
-                leg["transport"],
-            ]
+            [mode, leg["wall_s"], leg["jobs_per_s"], leg["sessions_per_s"]]
         )
     print(table.render())
     print(
@@ -117,8 +110,6 @@ def test_tier4_speedup(benchmark):
     # Correctness before speed: tier4_bench already raised if the
     # per-job digests diverged; restate the invariant loudly here.
     assert result["identical"], "tier-4 values diverged from reference"
-    assert legs["tier4"]["transport"] == "shm"
-    assert legs["session-batch"]["transport"] == "pickle"
 
     # The loud regression gate (ISSUE: >= 3x measured at record time;
     # the enforced floor is max(2.5, 0.8 * recorded baseline)).

@@ -208,19 +208,18 @@ def tier4_leg(
     the parallel engine.
 
     * ``mode="session-batch"`` — the tier-3 reference: every job spins
-      up a fresh process pool (``executor="process"``) and ships chunks
-      with the pickle codec, the way the engine worked before the
-      zero-copy transport landed.
+      up a fresh process pool (``executor="process"``) with cold
+      session specs.
     * ``mode="tier4"`` — one persistent :class:`repro.runner.WarmPool`
-      shared by every job (its startup is *inside* the timed region),
-      shared-memory chunk transport and warm session specs.
+      shared by every job (its startup is *inside* the timed region)
+      and warm session specs.
 
     Returns ``{"mode", "wall_s", "jobs_per_s", "sessions_per_s",
-    "transport", "digests"}`` where ``digests`` has one entry per job —
+    "digests"}`` where ``digests`` has one entry per job —
     the two legs must produce identical digest lists
     (:func:`tier4_bench` asserts this before it compares any timing).
     """
-    from .runner import WarmPool, resolve_transport, run_sessions
+    from .runner import WarmPool, run_sessions
     from .runner.workers import SessionSpec
 
     if mode not in ("session-batch", "tier4"):
@@ -233,18 +232,14 @@ def tier4_leg(
     digests: list[str] = []
     if mode == "tier4":
         spec = SessionSpec(warm=True)
-        transport = resolve_transport("auto")
         start = time.perf_counter()
         with WarmPool(n_workers) as pool:
             for _ in range(jobs):
-                result = run_sessions(
-                    spec, sessions, pool=pool, transport="auto", **common
-                )
+                result = run_sessions(spec, sessions, pool=pool, **common)
                 digests.append(_values_digest(result.values))
         wall_s = time.perf_counter() - start
     else:
         spec = SessionSpec()
-        transport = "pickle"
         start = time.perf_counter()
         for _ in range(jobs):
             result = run_sessions(
@@ -252,7 +247,6 @@ def tier4_leg(
                 sessions,
                 executor="process",
                 n_workers=n_workers,
-                transport="pickle",
                 **common,
             )
             digests.append(_values_digest(result.values))
@@ -262,7 +256,6 @@ def tier4_leg(
         "wall_s": wall_s,
         "jobs_per_s": jobs / wall_s,
         "sessions_per_s": jobs * sessions / wall_s,
-        "transport": transport,
         "digests": digests,
     }
 
@@ -384,12 +377,7 @@ def tier4_payload(result: dict[str, Any]) -> dict[str, Any]:
         "legs": {
             mode: {
                 k: leg[k]
-                for k in (
-                    "wall_s",
-                    "jobs_per_s",
-                    "sessions_per_s",
-                    "transport",
-                )
+                for k in ("wall_s", "jobs_per_s", "sessions_per_s")
             }
             for mode, leg in result["legs"].items()
         }

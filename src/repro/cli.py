@@ -172,7 +172,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             faults=faults,
             checkpoint=args.checkpoint,
             resume=args.resume,
-            transport=args.transport,
             pool=pool,
         )
         if live is not None:
@@ -416,18 +415,12 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             f"tier-4 fast path: {t4['jobs']} jobs x {t4['sessions']} "
             f"sessions x {t4['queries']} queries, "
             f"{t4['n_workers']} warm worker(s)",
-            ["mode", "wall (s)", "jobs/s", "sessions/s", "transport"],
+            ["mode", "wall (s)", "jobs/s", "sessions/s"],
         )
         for mode in ("session-batch", "tier4"):
             leg = t4["legs"][mode]
             t4_table.add_row(
-                [
-                    mode,
-                    leg["wall_s"],
-                    leg["jobs_per_s"],
-                    leg["sessions_per_s"],
-                    leg["transport"],
-                ]
+                [mode, leg["wall_s"], leg["jobs_per_s"], leg["sessions_per_s"]]
             )
         print(t4_table.render())
         print(
@@ -1200,7 +1193,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             slots=args.slots,
             spill_dir=args.spill_dir,
             max_jobs=args.max_jobs,
-            transport=args.transport,
             warm_workers=args.warm_workers,
         )
     except ValueError as error:
@@ -1214,7 +1206,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     print(
         f"repro serve: {config.host}:{config.port} "
         f"slots={config.slots} spill={spill} "
-        f"transport={config.transport} warm_workers={config.warm_workers}",
+        f"warm_workers={config.warm_workers}",
         file=sys.stderr,
     )
     try:
@@ -1315,14 +1307,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(without this flag an existing checkpoint is overwritten)",
     )
     sweep.add_argument(
-        "--transport",
-        choices=("auto", "pickle", "shm"),
-        default="auto",
-        help="chunk payload codec: shared-memory segments (shm) or "
-        "pickle-over-pipe; auto picks shm when available "
-        "(bit-identical results either way)",
-    )
-    sweep.add_argument(
         "--warm-workers",
         type=int,
         default=0,
@@ -1352,8 +1336,8 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument(
         "--tier4",
         action="store_true",
-        help="also benchmark the tier-4 fast path (warm pool + shm "
-        "transport) against the tier-3 parallel reference",
+        help="also benchmark the tier-4 fast path (warm pool + warm "
+        "session specs) against the tier-3 parallel reference",
     )
     bench.add_argument(
         "--tier4-jobs",
@@ -1681,13 +1665,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--max-jobs", type=int, default=1024,
         help="cap on active (non-terminal) jobs",
-    )
-    serve.add_argument(
-        "--transport",
-        choices=("auto", "pickle", "shm"),
-        default="auto",
-        help="chunk payload codec for job execution (bit-identical "
-        "results either way)",
     )
     serve.add_argument(
         "--warm-workers",

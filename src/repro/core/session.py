@@ -78,7 +78,9 @@ class MeasurementSession:
             scalar order, so results are bitwise identical to the
             scalar loop for any chunk size (see the determinism
             contract on ``run_queries_batch``); the scalar loop remains
-            the reference and is kept for verification.
+            the reference and is kept for verification.  Engages only
+            when ``system.phy_fast_path`` is also True: a system built
+            as the scalar reference always runs the per-query loop.
         batch_queries: chunk size for the batch engine.  Bounds the
             transient numpy working set (a few hundred queries of 64
             subframes x 52 subcarriers of complex matrices is tens of
@@ -106,7 +108,7 @@ class MeasurementSession:
         """
         if duration_s <= 0:
             raise ValueError("duration must be positive")
-        if self.session_fast_path:
+        if self._batched():
             cycle_s = self._predicted_cycle_s()
             if cycle_s is not None:
                 count = 0
@@ -124,12 +126,16 @@ class MeasurementSession:
         """Run a fixed number of query cycles."""
         if count < 1:
             raise ValueError("count must be >= 1")
-        if self.session_fast_path:
+        if self._batched():
             return self._finish(self.stats(self._run_batch(count)))
         elapsed = 0.0
         for _ in range(count):
             elapsed += self._one_cycle()
         return self._finish(self.stats(elapsed))
+
+    def _batched(self) -> bool:
+        """Whether runs go through the batch engine (both flags set)."""
+        return self.session_fast_path and self.system.phy_fast_path
 
     def _finish(self, stats: SessionStats) -> SessionStats:
         """Emit the end-of-run session telemetry record, if attached."""

@@ -35,7 +35,7 @@ from .metrics import (
 )
 
 #: Per-chunk transport encode times: tens of microseconds (small pickle
-#: payloads) up to seconds (huge shared-memory arrays).
+#: payloads) up to seconds (huge array payloads).
 ENCODE_SECONDS_BUCKETS = log_buckets(1e-5, 10.0, 13)
 
 #: Simulated AP polling-round durations: milliseconds (a handful of

@@ -401,18 +401,25 @@ class BackscatterChannel:
 
         Returns:
             Complex ``(n_samples, n_subcarriers)`` matrix whose row ``i``
-            equals ``channel_vector(state, direct_gains[i],
-            tag_fadings[i])`` — the elementwise operations follow the
-            scalar expression's association order, but numpy's array
-            complex multiply can round the tag-path product differently
-            from its scalar multiply, so an element may differ in the
-            last ulp.
+            bitwise equals ``channel_vector(state, direct_gains[i],
+            tag_fadings[i])``: both compute the tag-path product with
+            the same array operations (see :meth:`_tag_path`) in the
+            same association order.
         """
         gains = np.asarray(direct_gains, dtype=complex)
-        fadings = np.asarray(tag_fadings, dtype=complex)
-        gamma = state.reflection_coefficient
-        tag_term = (gamma * fadings) * self._h_tag_los
+        tag_term = self._tag_path(state, tag_fadings)
         return gains[:, None] + tag_term[:, None] * self._tag_rotation
+
+    def _tag_path(self, state: TagState, tag_fadings) -> np.ndarray:
+        """``gamma * fading * h_tag_los`` for an array of fadings.
+
+        Always an array product: numpy's scalar complex multiply can
+        round differently from its array multiply, so the scalar
+        reference computes its one fading as a one-element array too,
+        which keeps it bitwise equal to :meth:`channel_vector_batch`.
+        """
+        fadings = np.asarray(tag_fadings, dtype=complex)
+        return (state.reflection_coefficient * fadings) * self._h_tag_los
 
     def channel_vector(
         self,
@@ -439,16 +446,14 @@ class BackscatterChannel:
         if direct_gain is None and tag_fading == _UNIT_FADING:
             cached = self._static_vectors.get(state)
             if cached is None:
-                gamma = state.reflection_coefficient
                 cached = self._h_direct_los + (
-                    gamma * _UNIT_FADING * self._h_tag_los * self._tag_rotation
+                    self._tag_path(state, [_UNIT_FADING]) * self._tag_rotation
                 )
                 cached.flags.writeable = False
                 self._static_vectors[state] = cached
             return cached
         h_d = self._h_direct_los if direct_gain is None else direct_gain
-        gamma = state.reflection_coefficient
-        return h_d + gamma * tag_fading * self._h_tag_los * self._tag_rotation
+        return h_d + self._tag_path(state, [tag_fading]) * self._tag_rotation
 
     def channel_change(
         self,

@@ -273,12 +273,9 @@ class LinkErrorModel:
         consumes exactly the draws of calling
         ``subframe_effective_sinr(preamble_state, state,
         fading.sample(q))`` for each ``state`` of
-        ``subframe_state_rows[q]`` in turn, and matches those SINRs to
-        the last ulp (numpy's array complex multiply in
-        :meth:`~repro.phy.channel.BackscatterChannel.channel_vector_batch`
-        may round differently from its scalar multiply).  Rows do not
-        interact: a row's SINRs are bitwise the same whether it is
-        decoded alone or inside a larger chunk.
+        ``subframe_state_rows[q]`` in turn, and matches those SINRs bit
+        for bit.  Rows do not interact: a row's SINRs are bitwise the
+        same whether it is decoded alone or inside a larger chunk.
 
         Args:
             preamble_state: tag state during every PHY preamble.
@@ -482,9 +479,7 @@ class LinkErrorModel:
         right after its CSI noise, as the scalar loop draws it, so with
         ``exact_coding=True`` the matrix equals the scalar
         :meth:`subframe_outcome` loop over the rows in order, from the
-        same generator state (unless a uniform lands within the last-ulp
-        SINR difference of its probability, see
-        :meth:`subframe_effective_sinrs_batch2d`).
+        same generator state.
         With ``rngs`` each row draws from its own generator instead
         (see :meth:`subframe_effective_sinrs_batch2d`).
         """

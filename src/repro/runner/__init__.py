@@ -53,12 +53,7 @@ from .faults import (
     RetryPolicy,
 )
 from .sessions import run_sessions
-from .transport import (
-    EncodedChunk,
-    TransportError,
-    TransportEvent,
-    resolve_transport,
-)
+from .transport import EncodedChunk, TransportError, TransportEvent
 from .warm import WarmPool
 from .workers import FleetSpec, SessionSpec
 
@@ -88,7 +83,6 @@ __all__ = [
     "checkpoint_fingerprint",
     "load_checkpoint",
     "resolve_executor",
-    "resolve_transport",
     "run_sessions",
     "run_sweep",
     "run_units",

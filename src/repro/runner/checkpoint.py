@@ -19,14 +19,15 @@ File format (one JSON object per line):
 * ``chunk`` — one completed chunk: its index, unit span, worker pid,
   busy seconds, and a base64 chunk stream of ``(values,
   telemetry_snapshot)`` guarded by a BLAKE2b digest.  The stream is
-  encoded by :mod:`repro.runner.transport` — the *same* codec that
-  carried the chunk across the process boundary, so spilling reuses
-  the worker's bytes instead of re-pickling (schema 2 records carry
-  the ``codec`` name and the stream's ``payload_bytes``; schema 1
-  records, plain base64 pickles, still load).  Values are serialized
-  (not JSON) because work functions return arbitrary Python objects
-  (``SessionStats``, numpy scalars, dataclasses) and resume must
-  reproduce them bit-identically.
+  encoded by :mod:`repro.runner.transport` — the *same* pickle stream
+  that carried the chunk across the process boundary, so spilling
+  reuses the worker's bytes instead of re-pickling (schema 2 records
+  carry the ``codec`` name and the stream's ``payload_bytes``; schema
+  1 records, plain base64 pickles, still load; a record naming any
+  codec other than ``pickle`` is skipped, so its chunk re-runs on
+  resume).  Values are serialized (not JSON) because work functions
+  return arbitrary Python objects (``SessionStats``, numpy scalars,
+  dataclasses) and resume must reproduce them bit-identically.
 
 Torn writes — a run killed mid-line — are expected: loading skips any
 line that fails to parse or whose payload digest mismatches, so a
@@ -45,6 +46,7 @@ from dataclasses import dataclass
 from typing import Any
 
 from .transport import (
+    CODEC,
     TransportError,
     decode_payload,
     encode_chunk,
@@ -96,9 +98,9 @@ class CompletedChunk:
     """One chunk restored from (or recorded to) a checkpoint.
 
     ``codec`` names the :mod:`repro.runner.transport` codec the spilled
-    stream used and ``payload_bytes`` its encoded size — the
-    measurability hook for the one-codec spill path (schema-1 records
-    load as ``codec="pickle"`` with ``payload_bytes=0``).
+    stream used (always ``"pickle"``) and ``payload_bytes`` its encoded
+    size — the measurability hook for the spill path (schema-1 records
+    load with ``payload_bytes=0``).
     """
 
     chunk_index: int
@@ -108,7 +110,7 @@ class CompletedChunk:
     busy_s: float
     values: list[Any]
     telemetry: dict[str, Any] | None
-    codec: str = "pickle"
+    codec: str = CODEC
     payload_bytes: int = 0
 
 
@@ -124,28 +126,8 @@ class CheckpointState:
         return str(self.meta.get("fingerprint", ""))
 
 
-def _encode_payload(
-    values: list[Any],
-    telemetry: dict[str, Any] | None,
-    codec: str = "pickle",
-) -> tuple[str, str, int]:
-    """Encode a payload for spilling; returns (base64, digest, nbytes).
-
-    Delegates to :func:`repro.runner.transport.encode_chunk` so the
-    spill format is the transport format — one codec for both
-    boundaries.
-    """
-    encoded = encode_chunk(values, telemetry, codec)
-    raw = encoded.payload
-    return (
-        base64.b64encode(raw).decode("ascii"),
-        encoded.digest,
-        encoded.nbytes,
-    )
-
-
 def _decode_payload(
-    encoded: str, digest: str, codec: str = "pickle"
+    encoded: str, digest: str, codec: str = CODEC
 ) -> tuple[list[Any], dict[str, Any] | None]:
     raw = base64.b64decode(encoded.encode("ascii"), validate=True)
     if payload_digest(raw) != digest:
@@ -204,26 +186,18 @@ class CheckpointWriter:
     def record_chunk(
         self,
         chunk: CompletedChunk,
-        encoded: tuple[str, bytes | bytearray] | None = None,
+        encoded: bytes | None = None,
     ) -> None:
         """Persist one completed chunk (values + telemetry snapshot).
 
         ``encoded`` is the fix for the historical double-encoding: when
-        the chunk already crossed the process boundary as a
-        ``(codec, stream)`` pair, the coordinator hands those bytes in
-        verbatim and the writer spills them without re-serializing the
-        values.  Serial runs (no boundary crossed) encode here, once.
+        the chunk already crossed the process boundary as a stream,
+        the coordinator hands those bytes in verbatim and the writer
+        spills them without re-serializing the values.  Serial runs
+        (no boundary crossed) encode here, once.
         """
-        if encoded is not None:
-            codec, raw = encoded
-            payload = base64.b64encode(raw).decode("ascii")
-            digest = payload_digest(raw)
-            nbytes = len(raw)
-        else:
-            codec = chunk.codec
-            payload, digest, nbytes = _encode_payload(
-                chunk.values, chunk.telemetry, codec
-            )
+        if encoded is None:
+            encoded = encode_chunk(chunk.values, chunk.telemetry).payload
         self._write_line(
             {
                 "schema": CHECKPOINT_SCHEMA,
@@ -233,10 +207,10 @@ class CheckpointWriter:
                 "n_units": chunk.n_units,
                 "worker": chunk.worker,
                 "busy_s": chunk.busy_s,
-                "codec": codec,
-                "payload_bytes": nbytes,
-                "payload": payload,
-                "digest": digest,
+                "codec": CODEC,
+                "payload_bytes": len(encoded),
+                "payload": base64.b64encode(encoded).decode("ascii"),
+                "digest": payload_digest(encoded),
             }
         )
 
@@ -289,7 +263,7 @@ def load_checkpoint(path: str | os.PathLike) -> CheckpointState:
                 skipped += 1
                 continue
             try:
-                codec = str(record.get("codec", "pickle"))
+                codec = str(record.get("codec", CODEC))
                 values, telemetry = _decode_payload(
                     record["payload"], record["digest"], codec
                 )

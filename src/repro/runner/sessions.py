@@ -66,7 +66,6 @@ def run_sessions(
     checkpoint: str | os.PathLike | None = None,
     resume: bool = True,
     on_chunk: Callable[[ChunkProgress], None] | None = None,
-    transport: str = "auto",
     pool: Any | None = None,
 ) -> SweepResult:
     """Run ``n_sessions`` independent sessions; values are SessionStats.
@@ -110,7 +109,7 @@ def run_sessions(
         on_chunk: per-chunk progress observer
             (:class:`repro.runner.engine.ChunkProgress`); see
             :func:`repro.runner.engine.run_units`.
-        transport / pool: chunk payload codec and optional persistent
+        pool: optional persistent
             :class:`repro.runner.warm.WarmPool`; see
             :func:`repro.runner.engine.run_units`.  Pair a caller-owned
             pool with :class:`repro.runner.workers.SessionSpec`
@@ -152,6 +151,5 @@ def run_sessions(
         checkpoint=checkpoint,
         resume=resume,
         on_chunk=on_chunk,
-        transport=transport,
         pool=pool,
     )

@@ -210,8 +210,8 @@ class FleetSpec:
     positions drawn uniformly over a warehouse floorplan from the
     context's position substream, link/tag/error streams derived from
     ``ctx.seed`` by ``TagFleet.build`` — so fleet workloads ride the
-    same engine machinery (process pools, warm pool, shm chunk
-    transport, checkpoint/resume) as session workloads.
+    same engine machinery (process pools, warm pool, chunk encoding,
+    checkpoint/resume) as session workloads.
 
     Attributes:
         n_tags: fleet size.

@@ -1,16 +1,17 @@
-"""Zero-copy chunk transport: codec roundtrips, leaks, determinism.
+"""Chunk payload codec: roundtrips, integrity retries, determinism.
 
-The ``shm`` codec moves chunk payloads through named POSIX
-shared-memory segments instead of the executor's pickle pipe; the
-engine's determinism contract requires every codec choice to be
-invisible in the results (bit-identical values for any worker count,
-chunk size, and transport) and invisible in ``/dev/shm`` afterwards
-(no leaked segments — even when workers crash, exit, or the run is
-killed and resumed).  This suite pins both halves, plus the codec
-layer's own invariants: cross-codec equivalence, digest stability
-between the inline and segment forms of a stream, and cleanup
-idempotence.
+Every pooled chunk crosses the process boundary as one pickle stream
+encoded once by the worker, digest-checked by the coordinator, and
+spilled verbatim into the checkpoint.  The engine's determinism
+contract requires that crossing to be invisible in the results
+(bit-identical values for every executor, under worker faults, and
+through kill-and-resume).  This suite pins that, plus the codec
+layer's own invariants: roundtrips, stable encodings, truncated and
+unknown streams, and a corrupted stream retried as ``transport``.
 """
+
+import base64
+import json
 
 import numpy as np
 import pytest
@@ -19,23 +20,18 @@ from repro.runner import (
     FaultSpec,
     RetryPolicy,
     SweepSpec,
+    TelemetrySpec,
     UnitContext,
+    WorkUnitError,
+    load_checkpoint,
     run_sweep,
     run_units,
 )
 from repro.runner.transport import (
-    SEGMENT_PREFIX,
-    TRANSPORT_CODECS,
     TransportError,
-    cleanup_segment,
     decode_payload,
     encode_chunk,
-    fetch_payload,
-    leaked_segments,
     payload_digest,
-    resolve_transport,
-    segment_name,
-    shm_available,
 )
 from repro.runner.workers import rng_probe
 
@@ -48,10 +44,6 @@ except ImportError:  # pragma: no cover - hypothesis ships in the image
     HAVE_HYPOTHESIS = False
 
 pytestmark = pytest.mark.runner
-
-needs_shm = pytest.mark.skipif(
-    not shm_available(), reason="POSIX shared memory unavailable"
-)
 
 
 def units(n, seed=0):
@@ -80,7 +72,7 @@ def canon(obj):
 
 
 def array_probe(ctx: UnitContext):
-    """A unit whose payload is numpy-heavy (exercises oob buffers)."""
+    """A unit whose payload is numpy-heavy."""
     rng = ctx.rng(0)
     return {
         "index": ctx.index,
@@ -103,114 +95,39 @@ def payload_values():
 class TestCodecLayer:
     def test_pickle_roundtrip(self):
         values = payload_values()
-        encoded = encode_chunk(values, {"k": 1}, "pickle")
+        encoded = encode_chunk(values, {"k": 1})
         assert encoded.codec == "pickle"
-        assert encoded.segment is None
-        raw = fetch_payload(encoded)
-        decoded, telemetry = decode_payload(raw, "pickle")
+        assert encoded.nbytes == len(encoded.payload)
+        assert encoded.digest == payload_digest(encoded.payload)
+        decoded, telemetry = decode_payload(encoded.payload, "pickle")
         assert telemetry == {"k": 1}
         assert canon(decoded) == canon(values)
 
-    def test_shm_inline_roundtrip(self):
-        # codec="shm" without a segment name: the checkpoint re-encode
-        # path — same stream layout, carried inline.
+    def test_encoding_is_deterministic(self):
+        # The checkpoint records the digest of the worker's stream; a
+        # re-encode of the same values must reproduce it exactly.
         values = payload_values()
-        encoded = encode_chunk(values, None, "shm")
-        assert encoded.codec == "shm"
-        assert encoded.payload is not None
-        decoded, telemetry = decode_payload(
-            fetch_payload(encoded), "shm"
-        )
-        assert telemetry is None
-        assert canon(decoded) == canon(values)
-
-    @needs_shm
-    def test_shm_segment_roundtrip_and_unlink(self):
-        values = payload_values()
-        name = segment_name("t0ken", 3, 1)
-        encoded = encode_chunk(values, {"m": 2}, "shm", segment=name)
-        assert encoded.payload is None
-        assert encoded.segment == name
-        assert leaked_segments("t0ken") == [name]
-        raw = fetch_payload(encoded)
-        # fetch_payload copies then unlinks: nothing left in /dev/shm.
-        assert leaked_segments("t0ken") == []
-        decoded, telemetry = decode_payload(raw, "shm")
-        assert telemetry == {"m": 2}
-        assert canon(decoded) == canon(values)
-
-    @needs_shm
-    def test_segment_and_inline_streams_share_digest(self):
-        # The two forms of the shm codec must be interchangeable: a
-        # checkpoint records the digest of whichever stream carried the
-        # chunk and must verify against a re-encode.
-        values = payload_values()
-        inline = encode_chunk(values, {"t": 1}, "shm")
-        name = segment_name("d1gest", 0, 0)
-        via_segment = encode_chunk(values, {"t": 1}, "shm", segment=name)
-        raw = fetch_payload(via_segment)
-        assert via_segment.digest == inline.digest
-        assert payload_digest(raw) == inline.digest
-        assert via_segment.nbytes == inline.nbytes
-
-    def test_cross_codec_equivalence(self):
-        values = payload_values()
-        for telemetry in (None, {"chunk": 4}):
-            a = decode_payload(
-                fetch_payload(encode_chunk(values, telemetry, "pickle")),
-                "pickle",
-            )
-            b = decode_payload(
-                fetch_payload(encode_chunk(values, telemetry, "shm")),
-                "shm",
-            )
-            assert canon(a) == canon(b)
+        a = encode_chunk(values, {"t": 1})
+        b = encode_chunk(values, {"t": 1})
+        assert a.payload == b.payload
+        assert a.digest == b.digest
 
     def test_decoded_arrays_are_usable_after_fetch(self):
-        # Decoded arrays alias the coordinator-owned copy, never the
-        # (unlinked) segment; summing must not fault and values match.
         values = [np.arange(1000, dtype=np.float64)]
-        name = segment_name("al1as", 1, 0) if shm_available() else None
-        encoded = encode_chunk(values, None, "shm", segment=name)
-        decoded, _ = decode_payload(fetch_payload(encoded), "shm")
+        decoded, _ = decode_payload(encode_chunk(values, None).payload)
         assert float(decoded[0].sum()) == float(values[0].sum())
 
-    def test_resolve_transport(self):
-        assert resolve_transport("pickle") == "pickle"
-        expected = "shm" if shm_available() else "pickle"
-        assert resolve_transport("auto") == expected
-        with pytest.raises(ValueError):
-            resolve_transport("carrier-pigeon")
-
-    def test_segment_names_are_deterministic_and_prefixed(self):
-        name = segment_name("abcd", 7, 2)
-        assert name == segment_name("abcd", 7, 2)
-        assert name.startswith(SEGMENT_PREFIX)
-        assert name != segment_name("abcd", 7, 3)
-        assert name != segment_name("abcd", 8, 2)
-
-    @needs_shm
-    def test_cleanup_segment_is_idempotent(self):
-        name = segment_name("cl3an", 0, 0)
-        assert cleanup_segment(name) is False  # never created
-        encode_chunk([1, 2], None, "shm", segment=name)
-        assert cleanup_segment(name) is True
-        assert cleanup_segment(name) is False  # already gone
-        assert leaked_segments("cl3an") == []
-
     def test_truncated_stream_raises(self):
-        encoded = encode_chunk(payload_values(), None, "shm")
-        raw = fetch_payload(encoded)
+        raw = encode_chunk(payload_values(), None).payload
         with pytest.raises(TransportError):
-            decode_payload(raw[: len(raw) // 2], "shm")
+            decode_payload(raw[: len(raw) // 2])
         with pytest.raises(TransportError):
-            decode_payload(b"XXXX" + bytes(raw[4:]), "shm")
+            decode_payload(b"")
 
     def test_unknown_codec_raises(self):
+        raw = encode_chunk([1], None).payload
         with pytest.raises(ValueError):
-            encode_chunk([1], None, "gzip")
-        with pytest.raises(ValueError):
-            decode_payload(b"", "gzip")
+            decode_payload(raw, "gzip")
 
 
 if HAVE_HYPOTHESIS:
@@ -239,49 +156,32 @@ if HAVE_HYPOTHESIS:
     )
 
     @settings(max_examples=40, deadline=None)
-    @given(values=payloads, codec=st.sampled_from(TRANSPORT_CODECS))
-    def test_property_roundtrip_any_codec(values, codec):
-        encoded = encode_chunk(values, None, codec)
-        decoded, telemetry = decode_payload(
-            fetch_payload(encoded), codec
-        )
+    @given(values=payloads)
+    def test_property_roundtrip_any_codec(values):
+        encoded = encode_chunk(values, None)
+        decoded, telemetry = decode_payload(encoded.payload, encoded.codec)
         assert telemetry is None
         assert canon(decoded) == canon(values)
 
-    @settings(max_examples=25, deadline=None)
-    @given(values=payloads)
-    def test_property_cross_codec_bitwise_equal(values):
-        legs = [
-            decode_payload(
-                fetch_payload(encode_chunk(values, None, codec)), codec
-            )
-            for codec in TRANSPORT_CODECS
-        ]
-        assert canon(legs[0]) == canon(legs[1])
 
-
-@needs_shm
 class TestEngineTransport:
-    def test_values_identical_across_codecs(self):
+    def test_values_identical_across_executors(self):
         serial = run_units(array_probe, units(6), seed=1)
         assert serial.transport == "none"  # serial runs never encode
-        for codec in ("pickle", "shm"):
+        for executor in ("process", "warm"):
             pooled = run_units(
                 array_probe,
                 units(6),
                 seed=1,
                 n_workers=2,
-                executor="process",
+                executor=executor,
                 chunk_size=2,
-                transport=codec,
             )
-            assert pooled.transport == codec
+            assert pooled.executor == executor
+            assert pooled.transport == "pickle"
             assert canon(pooled.values) == canon(serial.values)
-        assert leaked_segments() == []
 
-    def test_shm_run_with_telemetry_and_arrays(self):
-        from repro.runner import TelemetrySpec
-
+    def test_pooled_run_with_telemetry_and_arrays(self):
         result = run_units(
             rng_probe,
             units(8),
@@ -289,48 +189,67 @@ class TestEngineTransport:
             n_workers=2,
             executor="process",
             chunk_size=2,
-            transport="shm",
             telemetry=TelemetrySpec(metrics=True),
         )
-        assert result.transport == "shm"
-        assert len(result.values) == 8
-        assert leaked_segments() == []
+        assert result.transport == "pickle"
+        assert result.values == run_units(rng_probe, units(8), seed=3).values
+        snapshot = json.dumps(result.telemetry.transport_snapshot())
+        assert "runner_chunk_bytes_total" in snapshot
+        assert "pickle" in snapshot
+
+    def test_corrupted_stream_retried_as_transport(self, monkeypatch):
+        # The coordinator's digest check sees one mangled stream; the
+        # chunk must re-run (reason "transport") and the values must
+        # still equal a clean run's.
+        import repro.runner.engine as engine
+
+        real_digest = engine.payload_digest
+        calls = []
+
+        def flaky_digest(raw):
+            calls.append(len(raw))
+            return "0" * 32 if len(calls) == 1 else real_digest(raw)
+
+        monkeypatch.setattr(engine, "payload_digest", flaky_digest)
+        clean = run_units(rng_probe, units(6), seed=2)
+        result = run_units(
+            rng_probe,
+            units(6),
+            seed=2,
+            n_workers=2,
+            executor="process",
+            chunk_size=2,
+            retry=RetryPolicy(max_attempts=3),
+        )
+        assert result.retry_summary() == {"transport": 1}
+        assert result.values == clean.values
 
 
-@needs_shm
-class TestChaosNoLeaks:
-    """Worker faults must not leave segments in /dev/shm."""
+class TestChaos:
+    """Worker faults on the pickle channel keep values bit-identical."""
 
-    def test_crash_faults_leave_no_segments(self, chaos):
-        baseline, chaotic = chaos.check_bit_identical(
+    def test_crash_faults_bit_identical(self, chaos):
+        _, chaotic = chaos.check_bit_identical(
             rng_probe,
             units(8),
             faults=chaos.faults(crash=(1, 5)),
             n_workers=2,
             executor="process",
             chunk_size=2,
-            transport="shm",
         )
         assert chaotic.retries
-        assert leaked_segments() == []
 
-    def test_worker_exit_faults_leave_no_segments(self, chaos):
-        # os._exit kills the worker after it may have created its
-        # segment; the coordinator must clean the assigned name up.
-        baseline, chaotic = chaos.check_bit_identical(
+    def test_worker_exit_faults_bit_identical(self, chaos):
+        chaos.check_bit_identical(
             rng_probe,
             units(8),
             faults=chaos.faults(exit=(2,)),
             n_workers=2,
             executor="process",
             chunk_size=2,
-            transport="shm",
         )
-        assert leaked_segments() == []
 
-    def test_permanent_failure_leaves_no_segments(self):
-        from repro.runner import WorkUnitError
-
+    def test_permanent_failure_raises(self):
         with pytest.raises(WorkUnitError):
             run_units(
                 rng_probe,
@@ -340,19 +259,16 @@ class TestChaosNoLeaks:
                 n_workers=2,
                 executor="process",
                 chunk_size=2,
-                transport="shm",
             )
-        assert leaked_segments() == []
 
 
-@needs_shm
-class TestResumeWithShm:
+class TestResume:
     def test_kill_and_resume_bit_identical(self, tmp_path, chaos):
-        """Killed-run checkpoints written via shm resume bit-identical."""
+        """A killed run's checkpoint resumes on a pool bit-identical."""
         spec = SweepSpec(
             axes={"x": list(range(8))}, seed=5, chunk_size=2
         )
-        clean = run_sweep(rng_probe, spec, transport="shm")
+        clean = run_sweep(rng_probe, spec)
         path = tmp_path / "ckpt.jsonl"
         chaos.partial_checkpoint(
             rng_probe, spec, str(path), crash_unit=5
@@ -364,18 +280,12 @@ class TestResumeWithShm:
             resume=True,
             n_workers=2,
             executor="process",
-            transport="shm",
         )
         assert resumed.resumed_chunks > 0
         assert canon(resumed.values) == canon(clean.values)
-        assert leaked_segments() == []
 
-    def test_checkpoint_records_decode_regardless_of_codec(
-        self, tmp_path
-    ):
-        """A chunk spilled from an shm run reloads via the same codec."""
-        from repro.runner import load_checkpoint
-
+    def test_checkpoint_records_carry_pickle_stream(self, tmp_path):
+        """Chunks spilled from a pooled run reload from the worker bytes."""
         spec = SweepSpec(
             axes={"x": list(range(4))}, seed=2, chunk_size=2
         )
@@ -386,11 +296,10 @@ class TestResumeWithShm:
             checkpoint=str(path),
             n_workers=2,
             executor="process",
-            transport="shm",
         )
         loaded = load_checkpoint(str(path))
         assert all(
-            chunk.codec == "shm" and chunk.payload_bytes > 0
+            chunk.codec == "pickle" and chunk.payload_bytes > 0
             for chunk in loaded.chunks.values()
         )
         values = [
@@ -399,4 +308,38 @@ class TestResumeWithShm:
             for v in chunk.values
         ]
         assert canon(values) == canon(first.values)
-        assert leaked_segments() == []
+
+    def test_checkpoint_record_with_other_codec_reruns(self, tmp_path):
+        """A chunk line spilled by the retired shared-memory codec reruns.
+
+        Older checkpoints may hold records whose ``codec`` names that
+        codec (a protocol-5 stream with out-of-band buffers).  Loading skips
+        such a line like any undecodable one, so resume re-runs that
+        chunk and still matches an uninterrupted run bit-for-bit.
+        """
+        spec = SweepSpec(
+            axes={"x": list(range(6))}, seed=9, chunk_size=2
+        )
+        clean = run_sweep(rng_probe, spec)
+        path = tmp_path / "ckpt.jsonl"
+        run_sweep(rng_probe, spec, checkpoint=str(path))
+        lines = path.read_text().splitlines()
+        record = json.loads(lines[2])
+        assert record["kind"] == "chunk"
+        stream = b"RPC1" + bytes(12)
+        record.update(
+            codec="shm",
+            payload=base64.b64encode(stream).decode("ascii"),
+            payload_bytes=len(stream),
+            digest=payload_digest(stream),
+        )
+        lines[2] = json.dumps(record)
+        path.write_text("\n".join(lines) + "\n")
+
+        state = load_checkpoint(str(path))
+        assert state.skipped_lines == 1
+        assert record["chunk"] not in state.chunks
+        resumed = run_sweep(rng_probe, spec, checkpoint=str(path))
+        assert resumed.resumed_chunks == 2
+        assert resumed.values == clean.values
+        assert resumed.points == clean.points

@@ -6,7 +6,7 @@ transplant memoized pure state (frame templates, tag alignment
 vectors, static channel vectors) between session builds.  Both are
 pure scheduling/caching concerns: every test here ultimately asserts
 the same thing — results bit-identical to the serial reference — under
-pool reuse, worker death and respawn, shm transport, and warm cache
+pool reuse, worker death and respawn, and warm cache
 adoption across differing seeds and scenarios.
 """
 
@@ -19,7 +19,6 @@ from repro.runner import (
     run_sessions,
     run_units,
 )
-from repro.runner.transport import leaked_segments, shm_available
 from repro.runner.workers import (
     SessionSpec,
     reset_warm_caches,
@@ -102,22 +101,6 @@ class TestPoolFaults:
             )
             assert again.values == baseline.values
 
-    @pytest.mark.skipif(
-        not shm_available(), reason="POSIX shared memory unavailable"
-    )
-    def test_worker_exit_with_shm_leaves_no_segments(self, chaos):
-        with WarmPool(2) as pool:
-            chaos.check_bit_identical(
-                rng_probe,
-                units(8),
-                faults=chaos.faults(exit=(1,)),
-                n_workers=2,
-                chunk_size=2,
-                pool=pool,
-                transport="shm",
-            )
-        assert leaked_segments() == []
-
 
 class TestWarmSessions:
     """SessionSpec(warm=True) cache adoption must be invisible."""
@@ -161,7 +144,6 @@ class TestWarmSessions:
                 n_workers=2,
                 chunk_size=1,
                 pool=pool,
-                transport="auto",
             )
             # Run the same job again on the now-cache-warm workers.
             warm_again = run_sessions(
@@ -172,11 +154,9 @@ class TestWarmSessions:
                 n_workers=2,
                 chunk_size=1,
                 pool=pool,
-                transport="auto",
             )
         assert self._stats(warm) == self._stats(serial)
         assert self._stats(warm_again) == self._stats(serial)
-        assert leaked_segments() == []
 
     def test_warm_caches_do_not_bleed_across_seeds(self):
         # Channel LOS phases are seed-dependent; a donor channel from

@@ -419,16 +419,25 @@ class TestRestartResume:
 
 
 class TestWarmTransportPool:
-    """Tier-4 serve knobs: shm transport and per-slot warm pools."""
+    """Tier-4 serve knob: per-slot warm pools."""
 
-    def test_execute_request_codec_invariant(self):
+    def test_execute_request_executor_invariant(self):
+        import dataclasses
+
+        from repro.runner import WarmPool
+
         request = sweep_request(n_units=6)
         reference = result_to_json(execute_request(request))
-        for transport in ("pickle", "shm", "auto"):
-            served = result_to_json(
-                execute_request(request, transport=transport)
-            )
-            assert served == reference
+        process = result_to_json(
+            execute_request(dataclasses.replace(request, n_workers=2))
+        )
+        with WarmPool(2) as pool:
+            warm = result_to_json(execute_request(request, pool=pool))
+        assert reference["executor"] == "serial"
+        assert process["executor"] == "process"
+        assert warm["executor"] == "warm"
+        assert process["points"] == reference["points"]
+        assert warm["points"] == reference["points"]
 
     def test_session_jobs_on_shared_warm_pool_bit_identical(self):
         from repro.runner import WarmPool
@@ -446,22 +455,22 @@ class TestWarmTransportPool:
             chunk_size=1,
         )
         def physics(payload):
-            # Drop pure scheduling metadata: the executor and codec a
-            # job ran on may differ, its values and points must not.
+            # Drop pure scheduling metadata: the executor a job ran
+            # on may differ, its values and points must not.
             return {
                 key: value
                 for key, value in payload.items()
-                if key not in ("executor", "transport")
+                if key != "executor"
             }
 
         reset_warm_caches()
         reference = result_to_json(execute_request(request))
         with WarmPool(1) as pool:
             first = result_to_json(
-                execute_request(request, transport="auto", pool=pool)
+                execute_request(request, pool=pool)
             )
             second = result_to_json(
-                execute_request(request, transport="auto", pool=pool)
+                execute_request(request, pool=pool)
             )
         assert physics(first) == physics(reference)
         assert physics(second) == physics(reference)
@@ -480,7 +489,6 @@ class TestWarmTransportPool:
                 store,
                 queue,
                 slots=1,
-                transport="auto",
                 warm_workers=1,
             )
             await pool.start()
@@ -499,7 +507,7 @@ class TestWarmTransportPool:
                 return {
                     key: value
                     for key, value in payload.items()
-                    if key not in ("executor", "transport")
+                    if key != "executor"
                 }
 
             for job in done:

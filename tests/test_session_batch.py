@@ -94,6 +94,29 @@ class TestBitwiseEquivalence:
         assert _bitmaps(slow) == _bitmaps(fast)
         assert slow.per_query_ber() == fast.per_query_ber()
 
+    @pytest.mark.parametrize("run", ["queries", "duration"])
+    def test_scalar_reference_system_keeps_per_query_loop(
+        self, run, monkeypatch
+    ):
+        # A system built as the scalar reference (phy_fast_path=False)
+        # must never reach the batch engine, even with the default
+        # session_fast_path=True: its session is the scalar loop.
+        def measure(session):
+            if run == "queries":
+                return session.run_queries(QUERIES)
+            return session.run_for(0.05)
+
+        def no_batch(*args, **kwargs):
+            raise AssertionError("batch engine ran on a scalar system")
+
+        default_system, _ = los_scenario(4.0, seed=5, phy_fast_path=False)
+        monkeypatch.setattr(default_system, "run_queries_batch", no_batch)
+        default = _session(True, system=default_system)
+        loop_system, _ = los_scenario(4.0, seed=5, phy_fast_path=False)
+        loop = _session(False, system=loop_system)
+        assert measure(default) == measure(loop)
+        _assert_sessions_identical(loop, default)
+
     @pytest.mark.parametrize("batch", [1, 3, 29, 1000])
     def test_chunk_size_invariance(self, batch):
         reference = _session(False)
